@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-annotate lint-regress fix-check test race chaos chaos-resize stress-binary bench-alloc obs-smoke trace-smoke smoke-placement ci bench-skew bench-pool bench-topology bench-placement bench-trace
+.PHONY: build vet lint lint-annotate lint-regress fix-check test race flake chaos chaos-resize stress-binary bench-alloc obs-smoke trace-smoke smoke-placement ci bench-skew bench-pool bench-topology bench-placement bench-trace
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,14 @@ test:
 # concurrency-heavy: fanout, async half-open probes, injector state).
 race:
 	$(GO) test -race ./...
+
+# Socket start-up flake gate: every test that starts a memcache server
+# on a TCP or UDP socket (text, binary, UDP), repeated 20 times. These
+# tests take the address from the bound listener, never from a Serve
+# that may not have run yet, so a single failure here is a real bug.
+FLAKE_TESTS = ^(TestServer|TestConcurrentClients|TestEndToEnd|TestBinary(SetGet|MultiGetIsOne|BinaryValues|AddReplace|CASViaSet|SetPinned|TouchFlush|AndText|UnknownOpcode|GarbageHeader|QuitCloses|EmptyMultiGet)|TestUDP)
+flake:
+	$(GO) test -count=20 -run '$(FLAKE_TESTS)' ./internal/memcache
 
 # Fault-injection suite, repeated to shake out timing flakes in the
 # breaker/flap recovery paths.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"rnb/internal/leakcheck"
@@ -123,7 +124,7 @@ func TestSetClearsMaxBoostSet(t *testing.T) {
 	// copies materialized during an earlier promotion that survived
 	// demotion.
 	for _, s := range maxSet {
-		if containsServer(current, s) {
+		if slices.Contains(current, s) {
 			continue
 		}
 		err := servers[s].Store().Set(&memcache.Item{Key: hot, Value: []byte("v0-stale")})
@@ -136,7 +137,7 @@ func TestSetClearsMaxBoostSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range maxSet {
-		if containsServer(current, s) {
+		if slices.Contains(current, s) {
 			continue
 		}
 		if _, err := servers[s].Store().Peek(hot); !errors.Is(err, memcache.ErrCacheMiss) {

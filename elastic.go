@@ -3,6 +3,7 @@ package rnb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -605,12 +606,12 @@ func (c *Client) prewarmHotKeys(idx int, joining bool) {
 		newSet := t.newest.Replicas(id, nil)
 		var targets []int
 		if joining {
-			if !containsServer(newSet, idx) {
+			if !slices.Contains(newSet, idx) {
 				continue
 			}
 			targets = []int{idx}
 		} else {
-			if !containsServer(t.placement.Replicas(id, nil), idx) {
+			if !slices.Contains(t.placement.Replicas(id, nil), idx) {
 				continue
 			}
 			for _, s := range newSet {

@@ -11,17 +11,14 @@
 // out through LRU, hot ones stay because the deterministic greedy
 // planner keeps choosing the same replica for similar requests.
 //
-// A request is executed in up to two rounds, as in §III-D:
-//
-//  1. the planned transactions are sent; every requested key costs the
-//     server a lookup (hit or miss), and hitchhikers may turn misses
-//     into hits;
-//  2. items still missing are fetched, bundled, from their
-//     distinguished servers — these transactions always hit.
-//
-// Missed items are written back to the server the planner assigned them
-// to (the "first picked" replica), adapting the physical replica
-// layout to the workload.
+// Requests run through core.Execute, the same request engine the live
+// client uses: planned transactions first, where every requested key
+// costs the server a lookup (hit or miss) and hitchhikers may turn
+// misses into hits; then the items still missing, bundled, from their
+// distinguished servers — which always hit (§III-D). Items missed in
+// round 1 are written back, add-if-absent, to the server the planner
+// assigned them to (the "first picked" replica), adapting the physical
+// replica layout to the workload.
 package cluster
 
 import (
@@ -55,9 +52,9 @@ type Config struct {
 	Placement hashring.Placement
 	// Planner options (hitchhiking, distinguished-single redirection).
 	Planner core.Options
-	// WriteBackOnMiss writes a missed item to its assigned server after
-	// the request completes (§III-C-2 policy). Defaults to true via
-	// New; set SkipWriteBack to disable.
+	// SkipWriteBack disables write-back: by default every assigned item
+	// missed in round 1 and recovered later is stored, if absent, on
+	// its assigned server after the request (§III-C-2 policy).
 	SkipWriteBack bool
 	// Prepopulate loads all logical replicas (LRU order: replica level
 	// round-robin) before the first request, instead of starting with
@@ -149,19 +146,16 @@ func New(cfg Config) (*Cluster, error) {
 // disabled, loads the remaining logical replicas level by level so LRU
 // pressure falls evenly across items rather than on low ids.
 func (c *Cluster) populate() {
-	var buf []int
-	for item := 0; item < c.cfg.Items; item++ {
-		buf = c.placement.Replicas(uint64(item), buf)
-		c.servers[buf[0]].Put(uint64(item), struct{}{}, 1, true)
-	}
+	levels := c.cfg.Replicas
 	if c.cfg.SkipPrepopulate {
-		return
+		levels = 1
 	}
-	for level := 1; level < c.cfg.Replicas; level++ {
+	var buf []int
+	for level := 0; level < levels; level++ {
 		for item := 0; item < c.cfg.Items; item++ {
 			buf = c.placement.Replicas(uint64(item), buf)
 			if level < len(buf) {
-				c.servers[buf[level]].Put(uint64(item), struct{}{}, 1, false)
+				c.servers[buf[level]].Put(uint64(item), struct{}{}, 1, level == 0)
 			}
 		}
 	}
@@ -179,10 +173,8 @@ func (c *Cluster) ResetTally() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tally = metrics.Tally{}
-	for i := range c.loads {
-		c.loads[i] = 0
-		c.itemLoads[i] = 0
-	}
+	clear(c.loads)
+	clear(c.itemLoads)
 }
 
 // ServerLoads returns a copy of the per-server transaction counts
@@ -228,29 +220,24 @@ func (c *Cluster) Occupancy() []float64 {
 // authoritative store (counted in Tally().DBFetches). The server's
 // memory is retained for RestoreServer, modeling a process restart
 // behind a warm cache or a fast-rejoining node.
-func (c *Cluster) FailServer(i int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i < 0 || i >= len(c.servers) {
-		return fmt.Errorf("cluster: no server %d", i)
-	}
-	if !c.down[i] {
-		c.down[i] = true
-		c.nDown++
-	}
-	return nil
-}
+func (c *Cluster) FailServer(i int) error { return c.setDown(i, true) }
 
 // RestoreServer brings a failed server back.
-func (c *Cluster) RestoreServer(i int) error {
+func (c *Cluster) RestoreServer(i int) error { return c.setDown(i, false) }
+
+func (c *Cluster) setDown(i int, down bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if i < 0 || i >= len(c.servers) {
 		return fmt.Errorf("cluster: no server %d", i)
 	}
-	if c.down[i] {
-		c.down[i] = false
-		c.nDown--
+	if c.down[i] != down {
+		c.down[i] = down
+		if down {
+			c.nDown++
+		} else {
+			c.nDown--
+		}
 	}
 	return nil
 }
@@ -264,21 +251,21 @@ func (c *Cluster) avoidFn() func(int) bool {
 	return func(s int) bool { return c.down[s] }
 }
 
-// RequestResult reports what one request cost.
-type RequestResult struct {
-	Transactions int // round-1 + round-2
-	Round2       int
-	Misses       int // assigned items that missed at their assigned server
-	Obtained     int // distinct requested items fetched
-	// Bottleneck is the largest number of keys any single server was
-	// asked for while serving this request — the per-request measure the
-	// Combinatorial Batch Code bound (internal/cbc) caps: with a CBC
-	// placement and core.HintBalanceLoad, Bottleneck ≤ Guarantee(k) for
-	// every k-item full fetch (absent failures and hitchhikers).
-	Bottleneck int
-}
+// RequestResult reports what one request cost: the request engine's
+// outcome record. Transactions counts round 1 plus round 2, Misses the
+// assigned items that missed at their assigned server, Obtained the
+// distinct requested items fetched. Bottleneck is the largest number
+// of keys any single server was asked for while serving the request —
+// the per-request measure the Combinatorial Batch Code bound
+// (internal/cbc) caps: with a CBC placement and core.HintBalanceLoad,
+// Bottleneck ≤ Guarantee(k) for every k-item full fetch (absent
+// failures and hitchhikers).
+type RequestResult = core.Outcome
 
 // Do executes one request against the cluster and updates the tally.
+// The protocol — round 1, round 2 from the (acting) distinguished
+// copies, the authoritative-store fallback, write-back — is
+// core.Execute's; the cluster supplies synchronous LRU lookups.
 func (c *Cluster) Do(req workload.Request) (RequestResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -293,153 +280,63 @@ func (c *Cluster) Do(req workload.Request) (RequestResult, error) {
 	if err != nil {
 		return RequestResult{}, err
 	}
-	m := len(plan.Items)
-	index := make(map[uint64]int, m)
-	for i, it := range plan.Items {
-		index[it] = i
+	o, err := core.Execute(plan, (*lruFetcher)(c), core.ExecConfig{
+		Target: req.Target, Avoid: avoid, WriteBack: !c.cfg.SkipWriteBack,
+	})
+	if err == nil && o.DistinguishedMisses > 0 {
+		// Invariant violation: true distinguished copies are pinned.
+		err = fmt.Errorf("cluster: %d distinguished copies missing in round 2", o.DistinguishedMisses)
 	}
-	obtained := make([]bool, m)
-	perSrv := make(map[int]int) // server -> keys asked of it, this request
-	var res RequestResult
+	if err != nil {
+		return o, err
+	}
+	c.tally.Requests++
+	c.tally.Transactions += uint64(o.Transactions)
+	c.tally.Round2 += uint64(o.Round2)
+	c.tally.ItemsWanted += uint64(len(plan.Items))
+	c.tally.ItemsFetched += uint64(o.Obtained)
+	c.tally.Misses += uint64(o.Misses)
+	c.tally.HitchhikeHit += uint64(o.HitchhikeHits)
+	c.tally.DBFetches += uint64(o.Fallback)
+	c.tally.TPRHist.Add(o.Transactions)
+	c.tally.BottleneckHist.Add(o.Bottleneck)
+	return o, nil
+}
 
-	// Round 1: planned transactions. Every key aboard costs the server a
-	// lookup; hits promote LRU recency (also for hitchhikers, per the
-	// paper's chosen policy).
-	for _, txn := range plan.Transactions {
-		srv := c.servers[txn.Server]
-		size := 0
-		for _, it := range txn.Primary {
-			size++
-			i := index[it]
-			if _, ok := srv.Get(it); ok {
-				obtained[i] = true
-			} else {
-				res.Misses++
-			}
-		}
-		for _, it := range txn.Hitchhikers {
-			size++
-			if _, ok := srv.Get(it); ok {
-				if j := index[it]; !obtained[j] {
-					obtained[j] = true
-					c.tally.HitchhikeHit++
+// lruFetcher is the simulator's core.Fetcher: every key aboard a
+// transaction costs its server an LRU lookup (hit or miss, promoting
+// hits — also for hitchhikers, per the paper's chosen policy), and the
+// authoritative store behind the tier always answers. Callers hold
+// c.mu.
+type lruFetcher Cluster
+
+func (f *lruFetcher) Fetch(r *core.Results, _ core.Stage, _ int, txns []core.Transaction) {
+	for _, txn := range txns {
+		srv := f.servers[txn.Server]
+		for _, keys := range [2][]uint64{txn.Primary, txn.Hitchhikers} {
+			for _, it := range keys {
+				if _, ok := srv.Get(it); ok {
+					r.Got(it, txn.Server)
 				}
 			}
 		}
-		res.Transactions++
-		c.loads[txn.Server]++
-		c.itemLoads[txn.Server] += uint64(size)
-		perSrv[txn.Server] += size
-		c.tally.TxnSize.Add(size)
+		f.loads[txn.Server]++
+		f.itemLoads[txn.Server] += uint64(txn.Size())
+		f.tally.TxnSize.Add(txn.Size())
 	}
+}
 
-	// Round 2: bundle still-missing *assigned* items by their acting
-	// distinguished server (the distinguished copy itself when its
-	// server is up — pinned, so it always hits — else the first
-	// surviving replica, which may itself miss). Items without a single
-	// surviving replica, and LIMIT-unassigned items, are handled after.
-	var missingItems []uint64
-	var missingActing [][]int
-	for i := range plan.Items {
-		if obtained[i] || plan.ItemServer[i] == -1 {
-			continue
-		}
-		// Assigned items always have a live acting distinguished: their
-		// assigned server is live, and the acting server precedes or
-		// equals it in the replica walk.
-		acting, ok := core.ActingDistinguished(plan.Replicas[i], avoid)
-		if !ok {
-			return res, fmt.Errorf("cluster: assigned item %d has no live replica", plan.Items[i])
-		}
-		missingItems = append(missingItems, plan.Items[i])
-		missingActing = append(missingActing, []int{acting})
+func (f *lruFetcher) WriteBack(server int, item uint64) {
+	if srv := f.servers[server]; !srv.Contains(item) {
+		srv.Put(item, struct{}{}, 1, false)
 	}
-	for _, txn := range core.SecondRound(missingItems, missingActing) {
-		srv := c.servers[txn.Server]
-		for _, it := range txn.Primary {
-			i := index[it]
-			if _, ok := srv.Get(it); ok {
-				obtained[i] = true
-				continue
-			}
-			if txn.Server == plan.Replicas[i][0] {
-				// Invariant violation: true distinguished copies are pinned.
-				return res, fmt.Errorf("cluster: distinguished copy of item %d missing on server %d",
-					it, txn.Server)
-			}
-			// Acting distinguished (survivor) missed too: the store.
-			c.tally.DBFetches++
-			obtained[i] = true
-			srv.Put(it, struct{}{}, 1, false)
-		}
-		res.Transactions++
-		res.Round2++
-		c.loads[txn.Server]++
-		c.itemLoads[txn.Server] += uint64(len(txn.Primary))
-		perSrv[txn.Server] += len(txn.Primary)
-		c.tally.TxnSize.Add(len(txn.Primary))
-	}
+}
 
-	// Unassigned-but-needed items: the cache tier cannot serve them —
-	// under a full fetch an unassigned item means every replica server
-	// is down; under a LIMIT plan the planner may also have stopped
-	// short of the target because failures shrank the candidate sets.
-	// Either way the authoritative store makes up the difference.
-	target := req.Target
-	if target <= 0 || target > m {
-		target = m
+// Fallback models the authoritative store: it has every item.
+func (f *lruFetcher) Fallback(r *core.Results, items []uint64) {
+	for _, it := range items {
+		r.Got(it, -1)
 	}
-	obtainedCount := 0
-	for _, ok := range obtained {
-		if ok {
-			obtainedCount++
-		}
-	}
-	for i := range plan.Items {
-		if obtainedCount >= target {
-			break
-		}
-		if obtained[i] || plan.ItemServer[i] != -1 {
-			continue
-		}
-		c.tally.DBFetches++
-		obtained[i] = true
-		obtainedCount++
-	}
-
-	// Write-back: repopulate the assigned replica of each item that
-	// missed there, so the physical layout adapts to the workload.
-	if !c.cfg.SkipWriteBack {
-		for i, it := range plan.Items {
-			if plan.ItemServer[i] == -1 || !obtained[i] {
-				continue
-			}
-			srv := c.servers[plan.ItemServer[i]]
-			if !srv.Contains(it) {
-				srv.Put(it, struct{}{}, 1, false)
-			}
-		}
-	}
-
-	for _, ok := range obtained {
-		if ok {
-			res.Obtained++
-		}
-	}
-	for _, keys := range perSrv {
-		if keys > res.Bottleneck {
-			res.Bottleneck = keys
-		}
-	}
-	c.tally.Requests++
-	c.tally.Transactions += uint64(res.Transactions)
-	c.tally.Round2 += uint64(res.Round2)
-	c.tally.ItemsWanted += uint64(m)
-	c.tally.ItemsFetched += uint64(res.Obtained)
-	c.tally.Misses += uint64(res.Misses)
-	c.tally.TPRHist.Add(res.Transactions)
-	c.tally.BottleneckHist.Add(res.Bottleneck)
-	return res, nil
 }
 
 // Run executes n requests from gen, returning the first error.

@@ -47,3 +47,37 @@ func TestAllocBudgetPlannerBuild(t *testing.T) {
 		t.Errorf("planner build: %.1f allocs/op, budget %d", got, budget)
 	}
 }
+
+// TestAllocBudgetExecute: a request that round 1 completes runs through
+// the executor without allocating — its per-request state (item index,
+// obtained-by table, server tallies) comes from a pool, so the live
+// client's hot path pays nothing for sharing the engine.
+func TestAllocBudgetExecute(t *testing.T) {
+	p := NewPlanner(hashring.NewMultiHashPlacement(16, 3, 1), Options{Hitchhike: true})
+	items := execItems(16)
+	plan, err := p.Build(items, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fakeTier{resident: map[[2]uint64]bool{}}
+	for i, it := range items {
+		for _, s := range plan.Replicas[i] {
+			f.resident[[2]uint64{uint64(s), it}] = true
+		}
+	}
+	cfg := ExecConfig{Planner: p, Replans: 1, WriteBack: true}
+	if _, err := Execute(plan, f, cfg); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		f.fetched = f.fetched[:0]
+		o, err := Execute(plan, f, cfg)
+		if err != nil || o.Obtained != len(items) || o.Round2 != 0 {
+			t.Fatalf("outcome %+v, err %v", o, err)
+		}
+	})
+	t.Logf("execute: %.1f allocs/op", got)
+	if got > 0 {
+		t.Errorf("execute: %.1f allocs/op, budget 0", got)
+	}
+}

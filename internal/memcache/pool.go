@@ -548,8 +548,8 @@ func (c *pconn) writeLoop() {
 			}
 			c.pool.transactions.Add(1)
 			if err := req.write(c.w); err != nil {
-				req.complete(err)
 				c.teardown(err)
+				req.complete(err)
 				return
 			}
 			c.pending.Add(1)
@@ -602,13 +602,16 @@ func (c *pconn) readLoop() {
 		c.pending.Add(-1)
 		c.pool.gauges.InFlight.Add(-1)
 		c.lastDone.Store(time.Now().UnixNano())
-		req.complete(err)
 		if isConnFatal(err) {
 			// The stream is out of sync (I/O error or corrupt frame):
-			// every response behind this one is unusable. Fail fast.
+			// every response behind this one is unusable. Fail fast —
+			// and mark the connection dead before the caller learns of
+			// the failure, so its next request is not routed here.
 			c.teardown(err)
+			req.complete(err)
 			return
 		}
+		req.complete(err)
 		c.pool.notify()
 	}
 }

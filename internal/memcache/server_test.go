@@ -181,8 +181,8 @@ func TestEndToEndStats(t *testing.T) {
 }
 
 func TestServerRejectsGarbage(t *testing.T) {
-	srv, _ := startServer(t, 0)
-	conn, err := net.Dial("tcp", srv.Addr())
+	_, cl := startServer(t, 0)
+	conn, err := net.Dial("tcp", cl.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +220,8 @@ func TestServerRejectsGarbage(t *testing.T) {
 }
 
 func TestServerNoreply(t *testing.T) {
-	srv, cl := startServer(t, 0)
-	conn, err := net.Dial("tcp", srv.Addr())
+	_, cl := startServer(t, 0)
+	conn, err := net.Dial("tcp", cl.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +244,8 @@ func TestServerNoreply(t *testing.T) {
 }
 
 func TestServerQuit(t *testing.T) {
-	srv, _ := startServer(t, 0)
-	conn, err := net.Dial("tcp", srv.Addr())
+	_, cl := startServer(t, 0)
+	conn, err := net.Dial("tcp", cl.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +281,14 @@ func TestServerCloseIdempotentAndRefusesServe(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	srv, _ := startServer(t, 0)
+	_, base := startServer(t, 0)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cl, err := Dial(srv.Addr(), 5*time.Second)
+			cl, err := Dial(base.Addr(), 5*time.Second)
 			if err != nil {
 				errs <- err
 				return
@@ -439,7 +439,7 @@ func TestServerSurvivesGarbageStreams(t *testing.T) {
 	// Deterministic fuzz: random byte streams and half-valid command
 	// streams must never crash the server or wedge the listener; after
 	// each stream a fresh client must still work.
-	srv, cl := startServer(t, 0)
+	_, cl := startServer(t, 0)
 	streams := []string{
 		"\r\n\r\n\r\n",
 		"get\r\nget \r\n",
@@ -454,7 +454,7 @@ func TestServerSurvivesGarbageStreams(t *testing.T) {
 		"flush_all noreply\r\nversion\r\n",
 	}
 	for i, stream := range streams {
-		conn, err := net.Dial("tcp", srv.Addr())
+		conn, err := net.Dial("tcp", cl.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,6 +84,13 @@ func (u *UDPServer) ListenAndServe(addr string) error {
 	if err != nil {
 		return err
 	}
+	return u.Serve(conn)
+}
+
+// Serve answers datagrams arriving on an already-bound conn until
+// Close, which also closes conn. Binding first lets a caller learn the
+// address from conn.LocalAddr() before Serve runs.
+func (u *UDPServer) Serve(conn *net.UDPConn) error {
 	u.mu.Lock()
 	if u.closed {
 		u.mu.Unlock()
@@ -121,7 +128,7 @@ func (u *UDPServer) ListenAndServe(addr string) error {
 	}
 }
 
-// Addr returns the bound address, or "" before ListenAndServe.
+// Addr returns the bound address, or "" before Serve.
 func (u *UDPServer) Addr() string {
 	u.mu.Lock()
 	defer u.mu.Unlock()

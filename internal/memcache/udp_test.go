@@ -3,6 +3,7 @@ package memcache
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -12,17 +13,13 @@ func startUDPServer(t *testing.T, payload int) (*UDPServer, *UDPClient) {
 	t.Helper()
 	srv := NewServer(NewStore(0))
 	udp := NewUDPServer(srv, payload)
-	errCh := make(chan error, 1)
-	go func() { errCh <- udp.ListenAndServe("127.0.0.1:0") }()
-	// Wait for bind.
-	for i := 0; i < 100 && udp.Addr() == ""; i++ {
-		time.Sleep(5 * time.Millisecond)
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if udp.Addr() == "" {
-		t.Fatal("udp server did not bind")
-	}
+	go udp.Serve(conn)
 	t.Cleanup(func() { udp.Close() })
-	cl, err := DialUDP(udp.Addr(), 2*time.Second)
+	cl, err := DialUDP(conn.LocalAddr().String(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,18 +53,11 @@ type Config struct {
 	Binary bool
 }
 
-// kvConn is the protocol-independent slice of client behavior the load
-// generator needs; both memcache.Client and memcache.BinClient satisfy
-// it.
-type kvConn interface {
-	GetMulti(keys []string) (map[string]*memcache.Item, error)
-	Set(it *memcache.Item) error
-	Close() error
-}
-
-func dial(cfg Config) (kvConn, error) {
+// dial opens one worker's connection: the text single-connection
+// client, or a one-connection binary pool.
+func dial(cfg Config) (memcache.Conn, error) {
 	if cfg.Binary {
-		return memcache.DialBinary(cfg.Addr, cfg.Timeout)
+		return memcache.NewPool(cfg.Addr, cfg.Timeout, memcache.PoolConfig{Size: 1, Binary: true})
 	}
 	return memcache.Dial(cfg.Addr, cfg.Timeout)
 }

@@ -211,6 +211,10 @@ type TraceBuffer struct {
 	slowN    int
 	res      []Span
 	resSeen  uint64
+	// resCap is the reservoir's capacity, fixed at construction:
+	// Finish reads it before taking mu, so it must not be cap(res),
+	// whose header a concurrent append rewrites under the lock.
+	resCap int
 }
 
 // NewTraceBuffer builds a buffer from cfg.
@@ -241,6 +245,7 @@ func NewTraceBuffer(cfg TraceConfig) *TraceBuffer {
 		rng:         rand.New(rand.NewSource(seed)),
 		slow:        make([]Span, slowCap),
 		res:         make([]Span, 0, resCap),
+		resCap:      resCap,
 	}
 }
 
@@ -274,15 +279,15 @@ func (b *TraceBuffer) Finish(sp *Span) {
 		b.mu.Unlock()
 		return
 	}
-	if cap(b.res) == 0 {
+	if b.resCap == 0 {
 		return
 	}
 	b.mu.Lock()
 	b.resSeen++
-	if len(b.res) < cap(b.res) {
+	if len(b.res) < b.resCap {
 		b.res = append(b.res, cp)
 		b.keptRes.Add(1)
-	} else if j := b.rng.Int63n(int64(b.resSeen)); int(j) < cap(b.res) {
+	} else if j := b.rng.Int63n(int64(b.resSeen)); int(j) < b.resCap {
 		b.res[j] = cp
 		b.keptRes.Add(1)
 	}

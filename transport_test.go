@@ -154,6 +154,23 @@ func awaitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// plannedServer returns a server the plan for ks visits. A chaos
+// victim must be one: which servers a small multi-get's bundles touch
+// depends on the ring positions of the (random) loopback ports, and a
+// victim outside the plan never fails a read.
+func plannedServer(t *testing.T, cl *Client, ks []string) int {
+	t.Helper()
+	ids, _, err := cl.keyIDs(ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := cl.cur.Load().planner.Build(ids, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.Transactions[0].Server
+}
+
 // TestPooledClientChaosKillMidPipeline kills a backend while a pooled
 // client has requests on the wire. In-flight requests must fail fast
 // (not hang to the 5s timeout), the breaker must open, subsequent
@@ -195,7 +212,7 @@ func TestPooledClientChaosKillMidPipeline(t *testing.T) {
 		}()
 	}
 	time.Sleep(20 * time.Millisecond)
-	victim := 0
+	victim := plannedServer(t, cl, ks[:16])
 	start := time.Now()
 	injectors[victim].Kill()
 	// The kill must surface as failures quickly. Worst case per request
