@@ -622,42 +622,3 @@ func BenchmarkBuild100Items64Servers(b *testing.B) {
 		}
 	}
 }
-
-func TestBuildExcluding(t *testing.T) {
-	p := NewPlanner(hashring.NewMultiHashPlacement(8, 3, 1), Options{})
-	items := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	avoid := func(s int) bool { return s == 0 }
-	exclude := map[int]bool{1: true, 2: true}
-	plan, err := p.BuildExcluding(items, 0, exclude, avoid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, txn := range plan.Transactions {
-		if txn.Server <= 2 {
-			t.Fatalf("plan routed to excluded/avoided server %d", txn.Server)
-		}
-	}
-	// With a nil avoid the exclusion set must still hold.
-	plan, err = p.BuildExcluding(items, 0, exclude, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, txn := range plan.Transactions {
-		if exclude[txn.Server] {
-			t.Fatalf("plan routed to excluded server %d", txn.Server)
-		}
-	}
-	// Empty exclusion degrades to BuildAvoiding.
-	a, err := p.BuildExcluding(items, 0, nil, avoid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.BuildAvoiding(items, 0, avoid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Transactions) != len(b.Transactions) {
-		t.Fatalf("empty exclusion changed the plan: %d vs %d txns",
-			len(a.Transactions), len(b.Transactions))
-	}
-}
