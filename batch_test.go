@@ -233,6 +233,47 @@ func TestLoaderFetchesTrueMisses(t *testing.T) {
 	}
 }
 
+// TestLoaderClearsStaleReplicas: when the distinguished copy is gone
+// (expired or evicted) while other replicas still hold an older value,
+// storing the loaded value must clear those copies, so no later bundle
+// planned onto them reads a value that disagrees with the distinguished
+// copy. The write-back then has nothing to add on the distinguished
+// server, and sends nothing there.
+func TestLoaderClearsStaleReplicas(t *testing.T) {
+	cl, servers := newTestClient(t, 4, WithReplicas(3), WithLoader(func(keys []string) (map[string][]byte, error) {
+		out := map[string][]byte{}
+		for _, k := range keys {
+			out[k] = []byte("new")
+		}
+		return out, nil
+	}))
+	if err := cl.Set(&Item{Key: "k", Value: []byte("old")}); err != nil {
+		t.Fatal(err)
+	}
+	reps := cl.replicaServers("k")
+	servers[reps[0]].Store().Delete("k")
+	before := servers[reps[0]].Stats().Transactions.Load()
+
+	// A single-item request is planned onto the distinguished copy:
+	// round 1 and round 2 miss there, and the loader supplies the key.
+	items, stats, err := cl.GetMulti([]string{"k"})
+	if err != nil || stats.Loaded != 1 || string(items["k"].Value) != "new" {
+		t.Fatalf("loader fetch: %v %+v %v", items, stats, err)
+	}
+	it, err := servers[reps[0]].Store().Peek("k")
+	if err != nil || string(it.Value) != "new" {
+		t.Fatalf("distinguished copy: %v %v", it, err)
+	}
+	for _, s := range reps[1:] {
+		if it, err := servers[s].Store().Peek("k"); err == nil {
+			t.Fatalf("replica on server %d still holds %q", s, it.Value)
+		}
+	}
+	if got := servers[reps[0]].Stats().Transactions.Load() - before; got != 3 {
+		t.Fatalf("%d transactions on the distinguished server, want 3 (round 1, round 2, store)", got)
+	}
+}
+
 func TestLoaderErrorPropagates(t *testing.T) {
 	boom := errors.New("db down")
 	cl, _ := newTestClient(t, 2, WithLoader(func([]string) (map[string][]byte, error) {

@@ -61,9 +61,13 @@ wait_port "$DEBUG"
 echo "obs-smoke: driving traffic"
 # A store and two multi-gets through the proxy's memcached port, so the
 # spans and histograms have something to show.
-printf 'set k1 0 0 2\r\nv1\r\nset k2 0 0 2\r\nv2\r\nget k1 k2\r\nget k1 k2\r\nquit\r\n' |
-    timeout 10 bash -c "exec 3<>/dev/tcp/${PROXY%:*}/${PROXY#*:}; cat >&3; cat <&3" |
-    grep -q 'VALUE k1' || { echo "obs-smoke: proxy did not serve gets" >&2; exit 1; }
+# The whole reply is read before it is searched: a grep -q reading the
+# pipe directly exits at the first match and, under pipefail, the
+# reader's SIGPIPE on the next reply would fail the step.
+REPLY_TEXT=$(printf 'set k1 0 0 2\r\nv1\r\nset k2 0 0 2\r\nv2\r\nget k1 k2\r\nget k1 k2\r\nquit\r\n' |
+    timeout 10 bash -c "exec 3<>/dev/tcp/${PROXY%:*}/${PROXY#*:}; cat >&3; cat <&3") ||
+    { echo "obs-smoke: proxy connection failed" >&2; exit 1; }
+grep -q 'VALUE k1' <<<"$REPLY_TEXT" || { echo "obs-smoke: proxy did not serve gets" >&2; exit 1; }
 
 echo "obs-smoke: checking /metrics"
 METRICS=$(curl -sf "http://$DEBUG/metrics")
