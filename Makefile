@@ -81,11 +81,12 @@ stress-binary:
 
 # Allocation-budget regression gates (testing.AllocsPerRun) on the
 # transport and planner hot paths: text/binary encode+decode, the
-# end-to-end pooled multiget, and core's Plan build. Run without -race —
+# server's text get, the end-to-end pooled multiget, the whole RnB
+# GetMulti over text servers, and core's Plan build. Run without -race —
 # the race runtime's shadow allocations distort the counts, so the
 # gates are build-tagged !race.
 bench-alloc:
-	$(GO) test -count=1 -run 'TestAllocBudget' -v ./internal/memcache ./internal/core
+	$(GO) test -count=1 -run 'TestAllocBudget' -v . ./internal/memcache ./internal/core
 
 # Observability smoke: boot rnbmemd backends + rnbproxy -debug-addr,
 # drive traffic, and assert /metrics serves the promised families and

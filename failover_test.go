@@ -1,6 +1,7 @@
 package rnb
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -105,7 +106,7 @@ func TestReadFailoverWithLoaderCoversOrphans(t *testing.T) {
 	// they keep coming from the loader or a live cache write.
 	dbServed := 0
 	for _, it := range items {
-		if string(it.Value[:3]) == "db:" {
+		if bytes.HasPrefix(it.Value, []byte("db:")) {
 			dbServed++
 		}
 	}

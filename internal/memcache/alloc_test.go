@@ -11,13 +11,15 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
 
 // allocGate fails when fn's steady-state allocation count exceeds the
-// budget. The measured value is logged so regressions show their size.
-func allocGate(t *testing.T, name string, budget float64, fn func()) {
+// budget, and returns the count. The measured value is logged so
+// regressions show their size.
+func allocGate(t *testing.T, name string, budget float64, fn func()) float64 {
 	t.Helper()
 	fn() // warm lazily initialized pools outside the measured window
 	got := testing.AllocsPerRun(200, fn)
@@ -25,6 +27,7 @@ func allocGate(t *testing.T, name string, budget float64, fn func()) {
 	if got > budget {
 		t.Errorf("%s: %.1f allocs/op, budget %.1f", name, got, budget)
 	}
+	return got
 }
 
 // TestAllocBudgetEncode: command encoding — text and binary — must not
@@ -75,49 +78,61 @@ func TestAllocBudgetEncode(t *testing.T) {
 	})
 }
 
-// TestAllocBudgetDecode: response decoding pays only what escapes into
-// the result — per hit, the Item, its key string, and its value block
-// (3 allocs) plus map growth — and nothing for protocol framing.
-func TestAllocBudgetDecode(t *testing.T) {
-	const hits = 8
-	// Render one canned text multiget response and one binary response.
+// textResponse renders a canned text "gets" response: one 100-byte
+// hit per key, in request order.
+func textResponse(keys []string) []byte {
 	var text bytes.Buffer
-	for i := 0; i < hits; i++ {
-		fmt.Fprintf(&text, "VALUE alloc:%03d %d 100 %d\r\n%s\r\n", i, i, i+1, bytes.Repeat([]byte("v"), 100))
+	for i, k := range keys {
+		fmt.Fprintf(&text, "VALUE %s %d 100 %d\r\n%s\r\n", k, i, i+1, bytes.Repeat([]byte("v"), 100))
 	}
 	text.WriteString("END\r\n")
-	var bin bytes.Buffer
-	bw := bufio.NewWriter(&bin)
-	for i := 0; i < hits; i++ {
-		extras := []byte{0, 0, 0, byte(i)}
-		key := fmt.Sprintf("alloc:%03d", i)
-		writeBinRes := func() {
-			hdr := binResFrame(binOpGetKQ, binStatusOK, uint32(i), uint64(i+1), extras, key, string(bytes.Repeat([]byte("v"), 100)))
-			bw.Write(hdr)
-		}
-		writeBinRes()
-	}
-	bw.Write(binResFrame(binOpNoop, binStatusOK, hits, 0, nil, "", ""))
-	bw.Flush()
+	return text.Bytes()
+}
 
-	// 3 allocs per hit (Item, key, value) + amortized map growth; the
-	// budget leaves one alloc of slack per run, not per hit.
-	budget := float64(3*hits) + 1
+func allocKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("alloc:%03d", i)
+	}
+	return keys
+}
+
+// TestAllocBudgetDecode: response decoding pays only what escapes into
+// the result and nothing for protocol framing. A text response costs a
+// constant — its item slab and its value slab — however many hits it
+// carries, so the budget is the same at 8 and at 16 hits. The binary
+// decoder still pays per hit: the Item, its key string and its frame
+// body (3 allocs), plus amortized map growth.
+func TestAllocBudgetDecode(t *testing.T) {
 	rd := bytes.NewReader(nil)
 	br := bufio.NewReader(nil)
+	const textBudget = 2
+	for _, hits := range []int{8, 16} {
+		keys := allocKeys(hits)
+		text := textResponse(keys)
+		out := make(map[string]*Item, hits)
+		allocGate(t, fmt.Sprintf("text multiget decode, %d hits", hits), textBudget, func() {
+			rd.Reset(text)
+			br.Reset(rd)
+			clear(out)
+			if err := readValuesInto(br, true, keys, out); err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != hits {
+				t.Fatalf("decoded %d hits", len(out))
+			}
+		})
+	}
+
+	const hits = 8
+	var bin bytes.Buffer
+	for i, key := range allocKeys(hits) {
+		extras := []byte{0, 0, 0, byte(i)}
+		bin.Write(binResFrame(binOpGetKQ, binStatusOK, uint32(i), uint64(i+1), extras, key, string(bytes.Repeat([]byte("v"), 100))))
+	}
+	bin.Write(binResFrame(binOpNoop, binStatusOK, hits, 0, nil, "", ""))
 	out := make(map[string]*Item, hits)
-	allocGate(t, "text multiget decode", budget, func() {
-		rd.Reset(text.Bytes())
-		br.Reset(rd)
-		clear(out)
-		if err := readValuesInto(br, true, out); err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != hits {
-			t.Fatalf("decoded %d hits", len(out))
-		}
-	})
-	allocGate(t, "binary multiget decode", budget, func() {
+	allocGate(t, "binary multiget decode", float64(3*hits)+1, func() {
 		rd.Reset(bin.Bytes())
 		br.Reset(rd)
 		clear(out)
@@ -157,12 +172,15 @@ func TestAllocBudgetPoolRoundTrip(t *testing.T) {
 		binary bool
 		budget float64
 	}{
-		// Measured 44 allocs/op (text) and 42 (binary) per 8-key
-		// multiget: 3 per hit for the escaping items, ~1 per key of
-		// server-side parsing, plus fixed request plumbing (poolRequest,
-		// closures, done channel, result map). The slack absorbs map
-		// growth jitter without letting a per-key regression through.
-		{"text", false, 45},
+		// Measured 12 allocs/op (text) and 42 (binary) per 8-key
+		// multiget. Text pays per request, not per hit: the item and
+		// value slabs, the server's command string and result map,
+		// plus fixed request plumbing (poolRequest, closures, done
+		// channel, result map). Binary still pays 3 per hit for the
+		// escaping items and ~1 per key of server-side parsing. The
+		// slack absorbs map growth jitter without letting a per-key
+		// regression through.
+		{"text", false, 13},
 		{"binary", true, 44},
 	} {
 		t.Run(lane.name, func(t *testing.T) {
@@ -195,5 +213,63 @@ func TestAllocBudgetPoolRoundTrip(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestAllocBudgetServerTextGet: a text get costs the server a constant
+// number of allocations, not a set per key or per hit. The client side
+// is a raw socket that reads the reply to END without decoding it, so
+// the count is the server's: command-line tokenizing, the VALUE
+// headers and the backend lookup. A get of 64 resident keys must cost
+// what a get of 8 does, within 2 (the backend's result map grows a
+// little with the key count; Backend.GetMulti is not gated here).
+func TestAllocBudgetServerTextGet(t *testing.T) {
+	srv := NewServer(NewStore(0))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	keys := allocKeys(64)
+	for _, k := range keys {
+		if err := srv.Store().Set(&Item{Key: k, Value: bytes.Repeat([]byte("v"), 100)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReaderSize(conn, 64<<10)
+	get := func(n int, budget float64) float64 {
+		req := []byte("get " + strings.Join(keys[:n], " ") + "\r\n")
+		return allocGate(t, fmt.Sprintf("server text get, %d keys", n), budget, func() {
+			if _, err := conn.Write(req); err != nil {
+				t.Fatal(err)
+			}
+			hits := 0
+			for {
+				line, err := br.ReadSlice('\n')
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Equal(line, []byte("END\r\n")) {
+					break
+				}
+				if bytes.HasPrefix(line, []byte("VALUE ")) {
+					hits++
+				}
+			}
+			if hits != n {
+				t.Fatalf("%d hits, want %d", hits, n)
+			}
+		})
+	}
+	// Measured 3 (the command line's string, the result map and its
+	// group) at 8 keys and 5 at 64, where the map needs a table.
+	if few, many := get(8, 4), get(64, 6); many > few+2 {
+		t.Errorf("server text get: %.1f allocs for 64 keys vs %.1f for 8; the per-key cost is back", many, few)
 	}
 }

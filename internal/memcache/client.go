@@ -254,7 +254,7 @@ func (c *Client) getMulti(verb string, keys []string) (map[string]*Item, error) 
 		if err := c.w.Flush(); err != nil {
 			return err
 		}
-		return readValuesInto(c.r, verb == "gets", out)
+		return readValuesInto(c.r, verb == "gets", keys, out)
 	})
 	if err != nil {
 		return nil, err
@@ -338,7 +338,7 @@ func (c *Client) TracedGetMulti(tc obs.TraceContext, keys []string) (map[string]
 		if err := c.w.Flush(); err != nil {
 			return err
 		}
-		if err := readValuesInto(c.r, false, out); err != nil {
+		if err := readValuesInto(c.r, false, keys, out); err != nil {
 			return err
 		}
 		if traced {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -22,8 +23,11 @@ import (
 // The codec is written to stay off the allocator on the steady-state
 // path: command lines are assembled in pooled scratch buffers, response
 // lines are borrowed from the bufio buffer via ReadSlice instead of
-// copied out, and numeric fields parse straight from bytes. The
-// allocation-budget tests in alloc_test.go gate these properties.
+// copied out, and numeric fields parse straight from bytes. A multi-get
+// response costs a constant number of allocations however many hits it
+// carries — one item slab and one value slab, sized at END — and reuses
+// the request's key strings. The allocation-budget tests in
+// alloc_test.go gate these properties.
 
 // replyError is a well-formed but negative or unexpected server reply
 // ("SERVER_ERROR ...", an unknown status line, ...). The response was
@@ -138,35 +142,100 @@ func writeGetCmd(w *bufio.Writer, verb string, keys []string) error {
 	return err
 }
 
+// slabValueMax is the largest value a multi-get response packs into
+// its shared byte slab. A larger value gets an allocation of its own,
+// read straight into place, so one retained small item never pins a
+// large neighbour.
+const slabValueMax = 1 << 10
+
+// valueRec is one decoded VALUE block awaiting materialization.
+type valueRec struct {
+	key   string
+	flags uint32
+	cas   uint64
+	off   int    // value offset in valueScratch.data (big == nil)
+	n     int    // value length
+	big   []byte // the value, when it exceeds slabValueMax
+}
+
+// valueScratch is readValuesInto's first pass: the headers and small
+// values of one response, gathered so the result can be allocated at
+// its exact size once END arrives. Pooled, so the pass is free.
+type valueScratch struct {
+	recs []valueRec
+	data []byte
+}
+
+var valueScratchPool = sync.Pool{New: func() interface{} { return new(valueScratch) }}
+
+func (sc *valueScratch) release() {
+	clear(sc.recs) // drop the key and value references
+	sc.recs, sc.data = sc.recs[:0], sc.data[:0]
+	if cap(sc.data) > MaxValueLen {
+		sc.data = nil // do not park a huge response's buffer in the pool
+	}
+	valueScratchPool.Put(sc)
+}
+
 // readValuesInto consumes VALUE blocks until END, merging items into
-// out. Any framing violation is conn-fatal: once a VALUE header fails
-// to parse the stream position is unknown.
-func readValuesInto(r *bufio.Reader, withCAS bool, out map[string]*Item) error {
+// out. keys is the request's key list: servers answer hits in request
+// order, so each VALUE key is matched forward against keys and the
+// caller's string is reused; a key out of order or never requested
+// falls back to a copy, which is slower but never wrong.
+//
+// A response costs a constant number of allocations, not one set per
+// hit: its items share one []Item slab, and its small values share one
+// byte slab, each value sliced with capacity equal to its length so an
+// append to one can never overwrite a neighbour. Both slabs are sized
+// from what arrived, never from what was requested.
+//
+// Any framing violation is conn-fatal: once a VALUE header fails to
+// parse the stream position is unknown. On error nothing is merged.
+func readValuesInto(r *bufio.Reader, withCAS bool, keys []string, out map[string]*Item) error {
+	sc := valueScratchPool.Get().(*valueScratch)
+	defer sc.release()
+	next := 0
 	for {
 		line, err := readClientLine(r)
 		if err != nil {
 			return err
 		}
 		if bytes.Equal(line, []byte("END")) {
-			return nil
+			break
 		}
-		it, err := readValue(r, line, withCAS)
-		if err != nil {
+		if next, err = sc.readValue(r, line, withCAS, keys, next); err != nil {
 			return err
+		}
+	}
+	if len(sc.recs) == 0 {
+		return nil
+	}
+	items := make([]Item, len(sc.recs))
+	data := make([]byte, len(sc.data))
+	copy(data, sc.data)
+	for i := range sc.recs {
+		rec, it := &sc.recs[i], &items[i]
+		it.Key, it.Flags, it.CAS = rec.key, rec.flags, rec.cas
+		if rec.big != nil {
+			it.Value = rec.big
+		} else {
+			it.Value = data[rec.off : rec.off+rec.n : rec.off+rec.n]
 		}
 		out[it.Key] = it
 	}
+	return nil
 }
 
 // readValue parses one "VALUE <key> <flags> <bytes> [cas]" header line
-// plus its data block. line is borrowed from the read buffer, so every
-// retained field is copied out before the data-block read invalidates
-// it. Steady-state cost is three allocations per hit — the Item, its
-// key string, and its data block — all of which escape into the result.
-func readValue(r *bufio.Reader, line []byte, withCAS bool) (*Item, error) {
+// plus its data block into a valueRec, resuming the forward key match
+// at keys[next] and returning where the next match resumes. line is
+// borrowed from the read buffer, so the key is resolved before the
+// data-block read invalidates it. The value lands in the scratch slab,
+// or in its own allocation when it exceeds slabValueMax.
+func (sc *valueScratch) readValue(r *bufio.Reader, line []byte, withCAS bool, keys []string, next int) (int, error) {
 	verb, rest := nextField(line)
 	if !bytes.Equal(verb, []byte("VALUE")) {
-		return nil, fmt.Errorf("memcache: unexpected response line %q", line)
+		return next, fmt.Errorf("memcache: unexpected response line %q", line)
 	}
 	key, rest := nextField(rest)
 	flagsTok, rest := nextField(rest)
@@ -177,36 +246,62 @@ func readValue(r *bufio.Reader, line []byte, withCAS bool) (*Item, error) {
 	}
 	if tail, _ := nextField(rest); len(key) == 0 || len(sizeTok) == 0 || len(tail) != 0 ||
 		(withCAS && len(casTok) == 0) {
-		return nil, fmt.Errorf("memcache: unexpected response line %q", line)
+		return next, fmt.Errorf("memcache: unexpected response line %q", line)
 	}
 	flags, err := parseUintBytes(flagsTok, 32)
 	if err != nil {
-		return nil, err
+		return next, err
 	}
 	size, err := parseUintBytes(sizeTok, 31)
 	if err != nil {
-		return nil, err
+		return next, err
 	}
 	if size > MaxValueLen {
 		// A corrupt (or hostile) header must not drive the allocation
 		// below: no legitimate server exceeds the protocol's value cap.
-		return nil, fmt.Errorf("memcache: VALUE header declares %d bytes (limit %d)", size, MaxValueLen)
+		return next, fmt.Errorf("memcache: VALUE header declares %d bytes (limit %d)", size, MaxValueLen)
 	}
-	it := &Item{Key: string(key), Flags: uint32(flags)}
+	rec := valueRec{flags: uint32(flags), n: int(size)}
 	if withCAS {
-		if it.CAS, err = parseUintBytes(casTok, 64); err != nil {
-			return nil, err
+		if rec.cas, err = parseUintBytes(casTok, 64); err != nil {
+			return next, err
 		}
 	}
-	data := make([]byte, size+2)
-	if _, err := readFull(r, data); err != nil {
-		return nil, err
+	rec.key, next = matchKey(keys, next, key)
+	var v []byte
+	if rec.n > slabValueMax {
+		rec.big = make([]byte, rec.n)
+		v = rec.big
+	} else {
+		rec.off = len(sc.data)
+		sc.data = slices.Grow(sc.data, rec.n)[:rec.off+rec.n]
+		v = sc.data[rec.off:]
 	}
-	if !bytes.HasSuffix(data, []byte("\r\n")) {
-		return nil, fmt.Errorf("memcache: corrupt data block for %s", it.Key)
+	if _, err := readFull(r, v); err != nil {
+		return next, err
 	}
-	it.Value = data[:size]
-	return it, nil
+	crlf, err := r.Peek(2)
+	if err != nil {
+		return next, err
+	}
+	if crlf[0] != '\r' || crlf[1] != '\n' {
+		return next, fmt.Errorf("memcache: corrupt data block for %s", rec.key)
+	}
+	_, _ = r.Discard(2) // cannot fail: Peek just buffered both bytes
+	sc.recs = append(sc.recs, rec)
+	return next, nil
+}
+
+// matchKey returns the string for a VALUE header's key: the request's
+// own string when key appears at or after keys[next], else a copy. The
+// second result is where the next match resumes.
+func matchKey(keys []string, next int, key []byte) (string, int) {
+	for i := next; i < len(keys); i++ {
+		if keys[i] == string(key) {
+			return keys[i], i + 1
+		}
+	}
+	return string(key), next
 }
 
 func readFull(r *bufio.Reader, buf []byte) (int, error) {

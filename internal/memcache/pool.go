@@ -705,7 +705,7 @@ func (p *Pool) getMulti(verb string, keys []string) (map[string]*Item, error) {
 	} else {
 		err = p.do(true,
 			func(w *bufio.Writer) error { return writeGetCmd(w, verb, keys) },
-			func(r *bufio.Reader) error { return readValuesInto(r, verb == "gets", out) })
+			func(r *bufio.Reader) error { return readValuesInto(r, verb == "gets", keys, out) })
 	}
 	if err != nil {
 		return nil, err
@@ -794,7 +794,7 @@ func (p *Pool) TracedGetMulti(tc obs.TraceContext, keys []string) (map[string]*I
 			return writeGetCmd(w, "get", keys)
 		}
 		read = func(r *bufio.Reader) error {
-			if err := readValuesInto(r, false, out); err != nil {
+			if err := readValuesInto(r, false, keys, out); err != nil {
 				return err
 			}
 			if traced {

@@ -35,6 +35,11 @@ var (
 )
 
 // Item is one stored object.
+//
+// The items of one text multi-get response share backing arrays: one
+// []Item slab, and one byte slab holding the values up to 1 KiB. Each
+// Value's capacity equals its length, so appending to it copies rather
+// than overwriting a neighbour.
 type Item struct {
 	Key   string
 	Value []byte

@@ -8,10 +8,12 @@ import (
 	"io"
 	"net"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"rnb/internal/obs"
 )
@@ -30,6 +32,8 @@ type ServerStats struct {
 // Backend is what a protocol Server serves from: the local Store, or —
 // for an RnB proxy — a whole replicated cluster. GetMulti receives the
 // complete key list of a get/gets command so a proxy can bundle it.
+// The keys slice is the connection's scratch and is valid only for the
+// duration of the call; the key strings themselves may be kept.
 type Backend interface {
 	GetMulti(keys []string) (map[string]*Item, error)
 	// GetsMulti is GetMulti with authoritative CAS tokens: an RnB proxy
@@ -292,8 +296,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	var pending obs.TraceContext
+	var sc textScratch
 	for {
-		line, err := readLine(r)
+		line, err := sc.readLine(r)
 		if err != nil {
 			return
 		}
@@ -322,7 +327,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			ct = s.armTrace(pending, fr, string(verb))
 			pending = obs.TraceContext{}
 		}
-		quit, err := s.dispatch(line, r, w, s.backendFor(ct))
+		quit, err := s.dispatch(line, r, w, s.backendFor(ct), &sc)
 		if err != nil {
 			return
 		}
@@ -348,23 +353,77 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// readLine reads one \r\n- (or \n-) terminated line without the
-// terminator.
-func readLine(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return nil, err
+// textScratch is a text connection's reusable parse state: the current
+// command line and its fields. Both are overwritten by the next
+// command, so nothing that outlives a command may keep either slice
+// (the field strings themselves are immutable and safe to keep).
+type textScratch struct {
+	line   []byte
+	fields []string
+}
+
+// readLine reads one \r\n- (or \n-) terminated line, without the
+// terminator, into the scratch line buffer. Fragments are appended
+// across bufio.ErrBufferFull, so a line longer than the read buffer
+// (a get of several hundred long keys) still arrives whole.
+func (sc *textScratch) readLine(r *bufio.Reader) ([]byte, error) {
+	if cap(sc.line) > 64<<10 {
+		sc.line = nil // one huge line must not stay pinned for the connection's life
 	}
-	line = bytes.TrimRight(line, "\r\n")
-	return line, nil
+	sc.line = sc.line[:0]
+	for {
+		frag, err := r.ReadSlice('\n')
+		sc.line = append(sc.line, frag...)
+		if err == nil {
+			return bytes.TrimRight(sc.line, "\r\n"), nil
+		}
+		if err != bufio.ErrBufferFull {
+			return nil, err
+		}
+	}
+}
+
+// asciiSpace is the ASCII subset of unicode.IsSpace.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// appendFields appends the fields of s to dst, splitting exactly where
+// strings.Fields would. The fields are substrings of s, so the only
+// allocation is dst's growth, which a reused dst stops paying.
+func appendFields(dst []string, s string) []string {
+	start := -1
+	for i := 0; i < len(s); {
+		space, width := false, 1
+		if c := s[i]; c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
+			r, width = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
+		}
+		if space {
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += width
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
 }
 
 // dispatch processes one command line against be — the raw backend, or
 // the per-command timing wrapper when the command is traced. It
 // returns quit=true for the "quit" command and a non-nil error for
-// connection-fatal conditions.
-func (s *Server) dispatch(line []byte, r *bufio.Reader, w *bufio.Writer, be Backend) (quit bool, err error) {
-	fields := strings.Fields(string(line))
+// connection-fatal conditions. The line is converted to a string once
+// and tokenized in place into sc's reused field slice.
+func (s *Server) dispatch(line []byte, r *bufio.Reader, w *bufio.Writer, be Backend, sc *textScratch) (quit bool, err error) {
+	sc.fields = appendFields(sc.fields[:0], string(line))
+	fields := sc.fields
 	if len(fields) == 0 {
 		_, err = w.WriteString("ERROR\r\n")
 		return false, err
@@ -435,10 +494,8 @@ func (s *Server) handleGet(keys []string, w *bufio.Writer, withCAS bool, be Back
 			continue
 		}
 		s.stats.GetHits.Add(1)
-		if withCAS {
-			fmt.Fprintf(w, "VALUE %s %d %d %d\r\n", it.Key, it.Flags, len(it.Value), it.CAS)
-		} else {
-			fmt.Fprintf(w, "VALUE %s %d %d\r\n", it.Key, it.Flags, len(it.Value))
+		if err := writeValueHeader(w, it, withCAS); err != nil {
+			return err
 		}
 		if _, err := w.Write(it.Value); err != nil {
 			return err
@@ -448,6 +505,27 @@ func (s *Server) handleGet(keys []string, w *bufio.Writer, withCAS bool, be Back
 		}
 	}
 	_, err := w.WriteString("END\r\n")
+	return err
+}
+
+// writeValueHeader writes "VALUE <key> <flags> <bytes> [cas]\r\n",
+// assembled in a pooled scratch buffer so a hit costs no allocation.
+func writeValueHeader(w *bufio.Writer, it *Item, withCAS bool) error {
+	scratch := lineScratch.Get().(*[320]byte)
+	b := scratch[:0]
+	b = append(b, "VALUE "...)
+	b = append(b, it.Key...)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(it.Flags), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(it.Value)), 10)
+	if withCAS {
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, it.CAS, 10)
+	}
+	b = append(b, '\r', '\n')
+	_, err := w.Write(b)
+	lineScratch.Put(scratch)
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -493,5 +494,91 @@ func TestClientReconnectsAfterServerSideClose(t *testing.T) {
 	_ = cl.Set(&Item{Key: "k", Value: []byte("v")})
 	if err := cl.Set(&Item{Key: "k", Value: []byte("v")}); err != nil {
 		t.Fatalf("client did not reconnect: %v", err)
+	}
+}
+
+// TestServerTextGetBytes pins the server's get/gets replies byte for
+// byte: field splitting follows strings.Fields (runs of spaces, a
+// trailing space, tabs, Unicode spaces), VALUE headers carry flags,
+// length and — for gets — the CAS token, and a command line longer
+// than the 64 KiB read buffer still arrives whole.
+func TestServerTextGetBytes(t *testing.T) {
+	srv := NewServer(NewStore(0))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	st := srv.Store()
+	for _, it := range []*Item{ // CAS tokens 1, 2, 3 in this order
+		{Key: "a", Value: []byte("alpha"), Flags: 5},
+		{Key: "b", Value: []byte{}},
+		{Key: "c", Value: []byte("gamma"), Flags: 1<<32 - 1},
+	} {
+		if err := st.Set(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const (
+		a  = "VALUE a 5 5\r\nalpha\r\n"
+		b  = "VALUE b 0 0\r\n\r\n"
+		c  = "VALUE c 4294967295 5\r\ngamma\r\n"
+		as = "VALUE a 5 5 1\r\nalpha\r\n"
+		cs = "VALUE c 4294967295 5 3\r\ngamma\r\n"
+	)
+	// 300 keys of 250 bytes make a get line of about 75 KiB.
+	var long strings.Builder
+	var longWant strings.Builder
+	long.WriteString("get")
+	for i := 0; i < 300; i++ {
+		key := fmt.Sprintf("%0250d", i)
+		it := &Item{Key: key, Value: []byte(fmt.Sprintf("v%d", i)), Flags: uint32(i)}
+		if err := st.Set(it); err != nil {
+			t.Fatal(err)
+		}
+		long.WriteString(" " + key)
+		fmt.Fprintf(&longWant, "VALUE %s %d %d\r\n%s\r\n", key, it.Flags, len(it.Value), it.Value)
+	}
+	long.WriteString("\r\n")
+	longWant.WriteString("END\r\n")
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	for _, tc := range []struct{ name, cmd, want string }{
+		{"plain", "get a b c\r\n", a + b + c + "END\r\n"},
+		{"runs of spaces", "get   a    c\r\n", a + c + "END\r\n"},
+		{"trailing space", "get a \r\n", a + "END\r\n"},
+		{"tabs", "get\ta\tc\r\n", a + c + "END\r\n"},
+		{"bare newline", "get c\n", c + "END\r\n"},
+		{"unicode space", "get a\u00a0c\r\n", a + c + "END\r\n"},
+		{"misses", "get x a y\r\n", a + "END\r\n"},
+		{"duplicate", "get a a\r\n", a + a + "END\r\n"},
+		{"no keys", "get\r\n", "ERROR\r\n"},
+		{"gets", "gets a missing c\r\n", as + cs + "END\r\n"},
+		{"gets spaces", " gets  c   a \r\n", cs + as + "END\r\n"},
+		{"long line", long.String(), longWant.String()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			// The trailing version proves the reply ends where want does.
+			if _, err := conn.Write([]byte(tc.cmd + "version\r\n")); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(tc.want))
+			if _, err := io.ReadFull(br, got); err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != tc.want {
+				t.Fatalf("reply to %q:\n got %q\nwant %q", tc.cmd, got, tc.want)
+			}
+			if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, "VERSION ") {
+				t.Fatalf("after the reply: %q %v", line, err)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -165,14 +166,15 @@ func (u *UDPServer) handlePacket(pkt []byte, raddr *net.UDPAddr) {
 	}
 	body := pkt[udpHeaderLen:]
 	r := bufio.NewReader(bytes.NewReader(body))
-	line, err := readLine(r)
+	var sc textScratch
+	line, err := sc.readLine(r)
 	if err != nil || len(line) == 0 {
 		return
 	}
 	var out bytes.Buffer
 	w := bufio.NewWriter(&out)
 	u.srv.stats.Transactions.Add(1)
-	if _, err := u.srv.dispatch(line, r, w, u.srv.backend); err != nil {
+	if _, err := u.srv.dispatch(line, r, w, u.srv.backend, &sc); err != nil {
 		return
 	}
 	if err := w.Flush(); err != nil {
@@ -301,6 +303,31 @@ func (c *UDPClient) roundTrip(cmd []byte) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
+// do sends the command write encodes as one request datagram and
+// decodes the reassembled response with read — the same text codec
+// the TCP transports use, size guards included.
+func (c *UDPClient) do(write func(w *bufio.Writer) error, read func(r *bufio.Reader) error) error {
+	var cmd bytes.Buffer
+	w := bufio.NewWriter(&cmd)
+	if err := write(w); err != nil {
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	resp, err := c.roundTrip(cmd.Bytes())
+	if err != nil {
+		return err
+	}
+	if err := read(bufio.NewReader(bytes.NewReader(resp))); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return fmt.Errorf("memcache: truncated udp response: %w", err)
+		}
+		return err
+	}
+	return nil
+}
+
 // Get fetches keys over UDP in one request datagram.
 func (c *UDPClient) Get(keys ...string) (map[string]*Item, error) {
 	if len(keys) == 0 {
@@ -311,18 +338,14 @@ func (c *UDPClient) Get(keys ...string) (map[string]*Item, error) {
 			return nil, ErrBadKey
 		}
 	}
-	var cmd bytes.Buffer
-	cmd.WriteString("get")
-	for _, k := range keys {
-		cmd.WriteByte(' ')
-		cmd.WriteString(k)
-	}
-	cmd.WriteString("\r\n")
-	resp, err := c.roundTrip(cmd.Bytes())
+	out := make(map[string]*Item, len(keys))
+	err := c.do(
+		func(w *bufio.Writer) error { return writeGetCmd(w, "get", keys) },
+		func(r *bufio.Reader) error { return readValuesInto(r, false, keys, out) })
 	if err != nil {
 		return nil, err
 	}
-	return parseTextValues(resp)
+	return out, nil
 }
 
 // Set stores an item over UDP. Responses are awaited (no noreply), so
@@ -334,66 +357,18 @@ func (c *UDPClient) Set(it *Item) error {
 	if len(it.Value) > MaxValueLen {
 		return ErrTooLarge
 	}
-	var cmd bytes.Buffer
-	fmt.Fprintf(&cmd, "set %s %d %d %d\r\n", it.Key, it.Flags, it.Expiration, len(it.Value))
-	cmd.Write(it.Value)
-	cmd.WriteString("\r\n")
-	resp, err := c.roundTrip(cmd.Bytes())
-	if err != nil {
-		return err
-	}
-	status := string(bytes.TrimRight(resp, "\r\n"))
-	if status != "STORED" {
-		return fmt.Errorf("memcache: udp set answered %q", status)
-	}
-	return nil
+	return c.do(
+		func(w *bufio.Writer) error { return writeStoreCmd(w, "set", it, 0) },
+		readStoreReply)
 }
 
 // Version fetches the server banner over UDP.
 func (c *UDPClient) Version() (string, error) {
-	resp, err := c.roundTrip([]byte("version\r\n"))
-	if err != nil {
-		return "", err
-	}
-	line := string(bytes.TrimRight(resp, "\r\n"))
-	return string(bytes.TrimPrefix([]byte(line), []byte("VERSION "))), nil
-}
-
-// parseTextValues parses a VALUE.../END response buffer.
-func parseTextValues(resp []byte) (map[string]*Item, error) {
-	out := map[string]*Item{}
-	r := bufio.NewReader(bytes.NewReader(resp))
-	for {
-		line, err := readLine(r)
-		if err != nil {
-			return nil, fmt.Errorf("memcache: truncated udp response")
-		}
-		if bytes.Equal(line, []byte("END")) {
-			return out, nil
-		}
-		fields := bytes.Fields(line)
-		if len(fields) != 4 || !bytes.Equal(fields[0], []byte("VALUE")) {
-			return nil, fmt.Errorf("memcache: unexpected udp line %q", line)
-		}
-		size, err := parseUint(string(fields[3]), 31)
-		if err != nil {
-			return nil, err
-		}
-		flags, err := parseUint(string(fields[2]), 32)
-		if err != nil {
-			return nil, err
-		}
-		data := make([]byte, size+2)
-		if _, err := readFull(r, data); err != nil {
-			return nil, fmt.Errorf("memcache: truncated udp data block")
-		}
-		if !bytes.HasSuffix(data, []byte("\r\n")) {
-			return nil, fmt.Errorf("memcache: corrupt udp data block")
-		}
-		out[string(fields[1])] = &Item{
-			Key:   string(fields[1]),
-			Value: data[:size],
-			Flags: uint32(flags),
-		}
-	}
+	var banner string
+	err := c.do(writeVersionCmd, func(r *bufio.Reader) error {
+		var err error
+		banner, err = readVersionReply(r)
+		return err
+	})
+	return banner, err
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -117,5 +118,51 @@ func TestUDPServerCloseIdempotent(t *testing.T) {
 	}
 	if err := udp.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUDPOversizedValueRejected: a response datagram declaring a value
+// far over MaxValueLen is refused by the codec's size guard — the
+// client returns an error without allocating the declared length.
+func TestUDPOversizedValueRejected(t *testing.T) {
+	fake, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fake.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		buf := make([]byte, 2048)
+		n, raddr, err := fake.ReadFromUDP(buf)
+		if err != nil {
+			return
+		}
+		reqID, _, _, err := parseUDPHeader(buf[:n])
+		if err != nil {
+			return
+		}
+		resp := make([]byte, udpHeaderLen)
+		putUDPHeader(resp, reqID, 0, 1)
+		resp = append(resp, "VALUE k 0 2000000000\r\nxx\r\nEND\r\n"...)
+		if _, err := fake.WriteToUDP(resp, raddr); err != nil {
+			t.Error(err)
+		}
+	}()
+	cl, err := DialUDP(fake.LocalAddr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	items, err := cl.Get("k")
+	runtime.ReadMemStats(&after)
+	<-served
+	if err == nil || errors.Is(err, ErrUDPLoss) {
+		t.Fatalf("oversized VALUE: items %v, err %v", items, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding the oversized header allocated %d bytes", grew)
 	}
 }
